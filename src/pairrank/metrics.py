@@ -10,9 +10,12 @@ The weighted coefficients are instances of the generic correlation form
     Gamma = sum_ij A_ij B_ij / sqrt(sum_ij A_ij^2 * sum_ij B_ij^2)
 
 with A_ij = sqrt(w_i w_j) (a_j - a_i) for the Spearman-style coefficient
-and A_ij = sqrt(w_i w_j) sign(a_j - a_i) for the Kendall-style one. Both
-are evaluated here in closed form; the test suite checks them against a
-direct evaluation of the double sums.
+and A_ij = sqrt(w_i w_j) sign(a_j - a_i) for the Kendall-style one. The
+Spearman-style coefficients are evaluated in closed form. The classical
+Kendall coefficient counts discordant pairs with a merge sort in
+O(N log^2 N) time and O(N) memory; the weighted one still sums the dense
+N x N sign-product matrix. The test suite checks them against a direct
+evaluation of the double sums, the dense reference formulas and scipy.
 """
 
 from __future__ import annotations
@@ -188,11 +191,15 @@ def _prepare_pair(a, b, w=None):
         raise ValueError("rankings must be one-dimensional and of equal length")
     if ra.size < 2:
         raise ValueError("need at least two items")
+    if not (np.all(np.isfinite(ra)) and np.all(np.isfinite(rb))):
+        raise ValueError("rankings contain non-finite values")
     if w is None:
         return ra, rb, None
     wv = np.asarray(w, dtype=float)
     if wv.shape != ra.shape:
         raise ValueError("weights must match the rankings in length")
+    if not np.all(np.isfinite(wv)):
+        raise ValueError("weights contain non-finite values")
     if np.any(wv < 0.0):
         raise ValueError("weights must be non-negative")
     if abs(float(wv.sum()) - 1.0) > 1e-9:
@@ -220,6 +227,11 @@ def _untied_weight_mass(r: np.ndarray, w: np.ndarray) -> float:
     return 1.0 - float(group_w @ group_w)
 
 
+def _sign_matrix(r: np.ndarray) -> np.ndarray:
+    # int8 matrix of sign(r_j - r_i)
+    return (r[None, :] > r[:, None]).view(np.int8) - (r[None, :] < r[:, None]).view(np.int8)
+
+
 def weighted_kendall(a, b, w) -> float:
     """Weighted Kendall coefficient.
 
@@ -233,9 +245,9 @@ def weighted_kendall(a, b, w) -> float:
     zb = _untied_weight_mass(rb, wv)
     if za <= 0.0 or zb <= 0.0:
         raise ValueError("degenerate ranking: all rank values tied")
-    sa = np.sign(ra[None, :] - ra[:, None])
-    sb = np.sign(rb[None, :] - rb[:, None])
-    num = float(wv @ (sa * sb) @ wv)
+    concordance = _sign_matrix(ra)
+    concordance *= _sign_matrix(rb)
+    num = float(wv @ concordance.astype(np.float64) @ wv)
     return _clamp_unit(num / math.sqrt(za * zb))
 
 
@@ -251,21 +263,68 @@ def spearman(a, b) -> float:
     return _clamp_unit(float(da @ db) / math.sqrt(var_a * var_b))
 
 
-def _tied_pair_count(r: np.ndarray) -> float:
-    _, counts = np.unique(r, return_counts=True)
-    return float((counts * (counts - 1) // 2).sum())
+def _pairs_within(group_sizes: np.ndarray) -> int:
+    return int((group_sizes * (group_sizes - 1) // 2).sum())
+
+
+def _run_lengths(starts_run: np.ndarray) -> np.ndarray:
+    # lengths of the runs of a sorted sequence, given a mask of run starts
+    return np.diff(np.flatnonzero(np.append(starts_run, True)))
+
+
+def _discordant_pairs(y: np.ndarray) -> int:
+    """Number of index pairs i < j with y_i > y_j, for non-negative integer codes.
+
+    A bottom-up merge sort: at each level, neighbouring sorted runs of
+    length `width` form one block. Offsetting every code by block * k
+    (k above the largest code) makes the left runs of all blocks one
+    sorted array, so a single searchsorted counts, for each right-run
+    element, the left-run elements of its own block that exceed it. A
+    sort of the offset codes then merges every block at once.
+    """
+    n = y.size
+    k = int(y.max()) + 1
+    pos = np.arange(n)
+    discordant = 0
+    width = 1
+    while width < n:
+        block = pos // (2 * width)
+        keyed = y + block * k
+        left = pos % (2 * width) < width
+        right = ~left
+        # every block with a right run has a full left run, and all blocks before it are full
+        not_above = np.searchsorted(keyed[left], keyed[right], side="right") - block[right] * width
+        discordant += int((width - not_above).sum())
+        y = np.sort(keyed) - block * k
+        width *= 2
+    return discordant
 
 
 def kendall(a, b) -> float:
-    """Classical Kendall coefficient with the standard tie correction."""
+    """Classical Kendall coefficient with the standard tie correction.
+
+    C - D = P - T_a - T_b + T_ab - 2D, with P all pairs, T_a, T_b and T_ab
+    the pairs tied in a, in b and in both, and D the discordant pairs,
+    counted as inversions of b's tie codes in (a, b) order. Every count is
+    an exact integer.
+    """
     ra, rb, _ = _prepare_pair(a, b)
     n = ra.size
-    sa = np.sign(ra[None, :] - ra[:, None])
-    sb = np.sign(rb[None, :] - rb[:, None])
-    concordance = float((sa * sb).sum()) / 2.0
+    order = np.lexsort((rb, ra))
+    a_sorted = ra[order]
+    b_sorted = rb[order]
+    _, codes_b, counts_b = np.unique(b_sorted, return_inverse=True, return_counts=True)
+    new_a = np.append(True, a_sorted[1:] != a_sorted[:-1])
+    new_ab = new_a | np.append(True, b_sorted[1:] != b_sorted[:-1])
+    tied_a = _pairs_within(_run_lengths(new_a))
+    tied_b = _pairs_within(counts_b)
+    tied_ab = _pairs_within(_run_lengths(new_ab))
+    concordance = float(
+        n * (n - 1) // 2 - tied_a - tied_b + tied_ab - 2 * _discordant_pairs(codes_b)
+    )
     all_pairs = n * (n - 1) / 2.0
-    untied_a = all_pairs - _tied_pair_count(ra)
-    untied_b = all_pairs - _tied_pair_count(rb)
+    untied_a = all_pairs - float(tied_a)
+    untied_b = all_pairs - float(tied_b)
     if untied_a <= 0.0 or untied_b <= 0.0:
         raise ValueError("degenerate ranking: all rank values tied")
     return _clamp_unit(concordance / math.sqrt(untied_a * untied_b))
@@ -302,6 +361,7 @@ def write_ranking_csv(path, ranks, weights=None) -> None:
 def read_ranking_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read item_id,rank[,weight] rows; returns ranks (and weights) in id order."""
     rows: list[tuple[int, float, float | None]] = []
+    name = Path(path).name
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -313,11 +373,13 @@ def read_ranking_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
             try:
                 item = int(row[0])
                 rank = float(row[1])
+                weight = float(row[2]) if len(row) > 2 and row[2] != "" else None
             except (IndexError, ValueError) as exc:
-                raise ValueError(f"{Path(path).name}:{lineno}: malformed row {row!r}") from exc
-            weight = None
-            if len(row) > 2 and row[2] != "":
-                weight = float(row[2])
+                raise ValueError(f"{name}:{lineno}: malformed row {row!r}") from exc
+            if not math.isfinite(rank):
+                raise ValueError(f"{name}:{lineno}: non-finite rank")
+            if weight is not None and not math.isfinite(weight):
+                raise ValueError(f"{name}:{lineno}: non-finite weight")
             rows.append((item, rank, weight))
     if not rows:
         raise ValueError(f"{path}: no ranking rows")

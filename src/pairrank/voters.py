@@ -14,7 +14,6 @@ streams (numpy's PCG64/ziggurat sampling is stable across runs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +85,7 @@ def builtin_similarity(kind: str, i: int, n: int) -> float:
         raise ValueError("n must be >= 1")
     if not (1 <= i <= n):
         raise ValueError(f"index {i} out of range 1..{n}")
-    if kind == "exponential":
-        return 2.0 * math.exp(-i / n) - 1.0
-    if kind == "power_law":
-        return 2.0 / (1.0 + math.sqrt(i / n)) - 1.0
-    raise ValueError(f"unknown builtin distribution {kind!r}")
+    return float(_builtin_values(kind, n)[i - 1])
 
 
 def make_distribution(kind: str, n_items: int) -> SimilarityDistribution:

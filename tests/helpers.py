@@ -1,8 +1,10 @@
 """Independent oracles used across the test suite.
 
-Everything here is deliberately written as plain double loops over the
-generic correlation form, so the closed-form implementations in the
-package are checked against a second, independent arithmetic path.
+The double sums are deliberately written as plain loops over the generic
+correlation form, so the implementations in the package are checked
+against a second, independent arithmetic path. The dense N x N Kendall
+formulas are the package's former ones; the current implementations must
+reproduce them bit for bit.
 """
 
 import math
@@ -72,3 +74,42 @@ def random_ranking(rng, n, with_ties=True) -> np.ndarray:
 def random_weights(rng, n) -> np.ndarray:
     w = rng.uniform(0.05, 1.0, size=n)
     return w / w.sum()
+
+
+def _dense_clamp(v: float) -> float:
+    return float(min(1.0, max(-1.0, v)))
+
+
+def dense_kendall(a, b) -> float:
+    """Classical Kendall tau from the dense N x N sign matrices.
+
+    This is the package's former formula, kept as the reference the
+    merge-sort implementation must match bit for bit.
+    """
+    ra = np.asarray(a, dtype=float)
+    rb = np.asarray(b, dtype=float)
+    n = ra.size
+    sa = np.sign(ra[None, :] - ra[:, None])
+    sb = np.sign(rb[None, :] - rb[:, None])
+    concordance = float((sa * sb).sum()) / 2.0
+    all_pairs = n * (n - 1) / 2.0
+    tied_a = float(sum(c * (c - 1) // 2 for c in np.unique(ra, return_counts=True)[1]))
+    tied_b = float(sum(c * (c - 1) // 2 for c in np.unique(rb, return_counts=True)[1]))
+    return _dense_clamp(concordance / math.sqrt((all_pairs - tied_a) * (all_pairs - tied_b)))
+
+
+def dense_weighted_kendall(a, b, w) -> float:
+    """Weighted Kendall tau from float64 N x N sign matrices (the former formula)."""
+    ra = np.asarray(a, dtype=float)
+    rb = np.asarray(b, dtype=float)
+    wv = np.asarray(w, dtype=float)
+
+    def untied_mass(r):
+        _, inverse = np.unique(r, return_inverse=True)
+        group_w = np.bincount(inverse, weights=wv)
+        return 1.0 - float(group_w @ group_w)
+
+    sa = np.sign(ra[None, :] - ra[:, None])
+    sb = np.sign(rb[None, :] - rb[:, None])
+    num = float(wv @ (sa * sb) @ wv)
+    return _dense_clamp(num / math.sqrt(untied_mass(ra) * untied_mass(rb)))

@@ -303,6 +303,14 @@ class TestCli:
         for name in COEFFICIENTS:
             assert f"{name} 1.000000" in proc.stdout
 
+    def test_metrics_non_finite_rank(self, tmp_path):
+        write_ranking_csv(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+        write_ranking_csv(tmp_path / "b.csv", [1.0, 2.0, 3.0, math.inf])
+        proc = run_cli(["metrics", "a.csv", "b.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert "b.csv:5: non-finite rank" in proc.stderr
+        assert proc.stdout == ""
+
     def test_metrics_missing_file(self, tmp_path):
         proc = run_cli(["metrics", "a.csv", "b.csv"], tmp_path)
         assert proc.returncode == 2

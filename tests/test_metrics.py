@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairrank.metrics import (
@@ -26,6 +27,8 @@ from pairrank.metrics import (
 )
 
 from helpers import (
+    dense_kendall,
+    dense_weighted_kendall,
     random_ranking,
     random_weights,
     ranks_by_counting,
@@ -34,6 +37,23 @@ from helpers import (
 )
 
 PI2_6 = math.pi**2 / 6.0
+
+
+@st.composite
+def rankings(draw, n):
+    """A tie-free permutation or an average-tie ranking over a random score alphabet."""
+    if draw(st.booleans()):
+        return np.array(draw(st.permutations(range(n))), dtype=float) + 1.0
+    levels = draw(st.integers(1, n))
+    return ranks_by_counting(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)))
+
+
+@st.composite
+def ranking_pairs(draw, max_n=80):
+    n = draw(st.integers(2, max_n))
+    a, b = draw(rankings(n)), draw(rankings(n))
+    assume(np.unique(a).size > 1 and np.unique(b).size > 1)
+    return a, b
 
 
 class TestRanksFromScores:
@@ -214,6 +234,20 @@ class TestWeightedCoefficients:
         assert rho == pytest.approx(weighted_spearman(b, a, w), abs=1e-12)
         assert tau == pytest.approx(weighted_kendall(b, a, w), abs=1e-12)
 
+    @given(ranking_pairs(), st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dense_reference(self, pair, seed):
+        a, b = pair
+        w = random_weights(np.random.default_rng(seed), a.size)
+        assert weighted_kendall(a, b, w) == dense_weighted_kendall(a, b, w)
+        hyperbolic = additive_weights(a, b)
+        assert weighted_kendall(a, b, hyperbolic) == dense_weighted_kendall(a, b, hyperbolic)
+
+    def test_non_finite_weights_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="weights contain non-finite"):
+                weighted_kendall([1, 2, 3], [1, 2, 3], [0.5, 0.5, bad])
+
     def test_top_rank_sensitivity(self):
         n = 100
         identity = np.arange(1.0, n + 1)
@@ -270,12 +304,43 @@ class TestClassicalCoefficients:
         with pytest.raises(ValueError, match="degenerate"):
             kendall([2, 2, 2], [1, 2, 3])
 
+    @given(ranking_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dense_reference(self, pair):
+        a, b = pair
+        assert kendall(a, b) == dense_kendall(a, b)
+
+    def test_ties_heavy_large_n_against_scipy(self):
+        # The dense formula would need N^2 float64 matrices (~80 GB) here.
+        n = 100_000
+        rng = np.random.default_rng(7)
+        scores = rng.integers(0, 41, n)
+        a = ranks_from_scores(scores)
+        b = ranks_from_scores(scores + rng.integers(-4, 5, n))
+        tracemalloc.start()
+        try:
+            tau = kendall(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * n
+        assert tau == pytest.approx(float(scipy.stats.kendalltau(a, b).statistic), abs=1e-12)
+
 
 class TestCoefficientSuite:
     def test_identical_rankings(self):
         suite = coefficient_suite([1, 2, 3, 4], [1, 2, 3, 4], n0=2)
         assert set(suite) == {"rho_w", "tau_w", "rho", "tau"}
         assert all(v == 1.0 for v in suite.values())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_ranks_rejected(self, bad):
+        # -inf already fails the weights' rank >= 1 check
+        with pytest.raises(ValueError, match="rank"):
+            coefficient_suite([1, 2, 3, 4], [1, 2, 3, bad])
+        for coefficient in (spearman, kendall):
+            with pytest.raises(ValueError, match="rankings contain non-finite"):
+                coefficient([1, 2, bad, 4], [1, 2, 3, 4])
 
 
 class TestRankingCsv:
@@ -299,6 +364,26 @@ class TestRankingCsv:
         path = tmp_path / "broken.csv"
         path.write_text("item_id,rank,weight\n0,not-a-rank,\n")
         with pytest.raises(ValueError, match="broken.csv:2"):
+            read_ranking_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rank_reports_line(self, tmp_path, bad):
+        path = tmp_path / "ranks.csv"
+        path.write_text(f"item_id,rank,weight\n0,1.0,\n1,{bad},\n")
+        with pytest.raises(ValueError, match="ranks.csv:3: non-finite rank"):
+            read_ranking_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_weight_reports_line(self, tmp_path, bad):
+        path = tmp_path / "ranks.csv"
+        path.write_text(f"item_id,rank,weight\n0,1.0,{bad}\n1,2.0,0.5\n")
+        with pytest.raises(ValueError, match="ranks.csv:2: non-finite weight"):
+            read_ranking_csv(path)
+
+    def test_malformed_weight_reports_line(self, tmp_path):
+        path = tmp_path / "ranks.csv"
+        path.write_text("item_id,rank,weight\n0,1.0,heavy\n")
+        with pytest.raises(ValueError, match="ranks.csv:2: malformed row"):
             read_ranking_csv(path)
 
     def test_ids_must_be_dense(self, tmp_path):
